@@ -456,7 +456,8 @@ impl FleetStore {
                     format!("pid {holder}")
                 };
                 return Err(format!(
-                    "store {} is locked by another process ({holder});                      is a second campion-fleetd running? remove {} if it is stale",
+                    "store {} is locked by another process ({holder}); \
+                     is a second campion-fleetd running? remove {} if it is stale",
                     dir.display(),
                     lock_path.display()
                 ));
@@ -532,5 +533,32 @@ impl Drop for FleetStore {
         // crashed process leaves the lock behind on purpose: the error
         // message tells the operator which PID to check and what to remove.
         let _ = std::fs::remove_file(&self.lock_path);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn second_open_names_the_lock_holder() {
+        let dir = std::env::temp_dir().join(format!("campion-store-lock-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let first = FleetStore::open(&dir).expect("open");
+        let Err(err) = FleetStore::open(&dir) else {
+            panic!("a second open of a locked store must fail");
+        };
+        assert_eq!(
+            err,
+            format!(
+                "store {} is locked by another process (pid {}); is a second \
+                 campion-fleetd running? remove {} if it is stale",
+                dir.display(),
+                std::process::id(),
+                dir.join("lock").display()
+            )
+        );
+        drop(first);
+        std::fs::remove_dir_all(&dir).ok();
     }
 }

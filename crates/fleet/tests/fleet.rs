@@ -1,6 +1,7 @@
-//! Fleet integration tests: store round-trips (property-based), the
-//! committed v1 fixture (backwards compatibility), corruption handling,
-//! and the end-to-end incrementality proof — both in-process against
+//! Fleet integration tests: store and ingest-body round-trips
+//! (property-based), the committed v1 fixture (backwards compatibility),
+//! corruption handling, linear decode and hostile bodies, and the
+//! end-to-end incrementality proof — both in-process against
 //! [`campion_fleet::Daemon`] and over the real HTTP loop.
 
 use std::collections::BTreeMap;
@@ -295,6 +296,155 @@ proptest! {
         let decoded = SnapshotRecord::decode(&snap.encode()).expect("round trip");
         prop_assert_eq!(decoded, snap);
     }
+}
+
+/// The snapshot-body char pool: ASCII (JSON punctuation included), the
+/// two characters `escape` must backslash, a newline, a raw control
+/// character, and one character each of 2, 3 and 4 UTF-8 bytes.
+const BODY_CHARS: &[char] = &[
+    'a', 'Z', '0', ' ', '{', '}', '[', ']', ':', ',', '"', '\\', '\n', '\u{1}', 'é', '€', '😀',
+];
+
+fn body_text() -> impl Strategy<Value = String> {
+    proptest::collection::vec(proptest::sample::select(BODY_CHARS), 0..40)
+        .prop_map(|chars| chars.into_iter().collect())
+}
+
+/// A snapshot over arbitrary router names and config texts, with every
+/// pair naming routers it has (so `validate` passes).
+fn any_snapshot() -> impl Strategy<Value = SnapshotInput> {
+    (
+        body_text(),
+        proptest::collection::vec((body_text(), body_text()), 1..5),
+        proptest::collection::vec((0usize..8, 0usize..8), 1..4),
+    )
+        .prop_map(|(name, routers, picks)| {
+            let configs: BTreeMap<String, String> = routers.into_iter().collect();
+            let names: Vec<&String> = configs.keys().collect();
+            let pairs = picks
+                .into_iter()
+                .map(|(a, b)| {
+                    (
+                        names[a % names.len()].clone(),
+                        names[b % names.len()].clone(),
+                    )
+                })
+                .collect();
+            SnapshotInput {
+                name,
+                configs,
+                pairs,
+            }
+        })
+}
+
+/// `json` with every non-ASCII character written as `\uXXXX` (a UTF-16
+/// surrogate pair above the BMP), as Python's `json.dumps` does by default.
+fn ascii_escaped(json: &str) -> String {
+    let mut out = String::with_capacity(json.len());
+    for c in json.chars() {
+        if c.is_ascii() {
+            out.push(c);
+        } else {
+            for unit in c.encode_utf16(&mut [0; 2]) {
+                out.push_str(&format!("\\u{unit:04x}"));
+            }
+        }
+    }
+    out
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Arbitrary config texts survive the ingest body encode/decode.
+    #[test]
+    fn snapshot_body_round_trip(snap in any_snapshot()) {
+        prop_assert_eq!(SnapshotInput::from_json(&snap.to_json()).expect("decode"), snap);
+    }
+
+    /// The same body with every non-ASCII character `\u`-escaped decodes
+    /// to the same snapshot: surrogate pairs join back into one character.
+    #[test]
+    fn ascii_escaped_snapshot_body_round_trip(snap in any_snapshot()) {
+        let body = ascii_escaped(&snap.to_json());
+        prop_assert!(body.is_ascii());
+        prop_assert_eq!(SnapshotInput::from_json(&body).expect("decode"), snap);
+    }
+}
+
+/// `copies` renamed copies of `unit`'s routers and pairs.
+fn replicated(unit: &SnapshotInput, copies: usize) -> SnapshotInput {
+    let mut out = SnapshotInput {
+        name: unit.name.clone(),
+        ..SnapshotInput::default()
+    };
+    for c in 0..copies {
+        for (router, text) in &unit.configs {
+            out.configs.insert(format!("{router}-{c}"), text.clone());
+        }
+        for (a, b) in &unit.pairs {
+            out.pairs.push((format!("{a}-{c}"), format!("{b}-{c}")));
+        }
+    }
+    out
+}
+
+/// Best-of-3 wall time of decoding `body`.
+fn decode_secs(body: &str) -> f64 {
+    (0..3)
+        .map(|_| {
+            let t = std::time::Instant::now();
+            SnapshotInput::from_json(body).expect("decode");
+            t.elapsed().as_secs_f64()
+        })
+        .fold(f64::INFINITY, f64::min)
+}
+
+/// Ingest decode is linear in the body: an 8× larger body takes about 8×
+/// as long (a quadratic decode would take about 64×).
+#[test]
+fn snapshot_decode_scales_linearly() {
+    let _g = trace_guard(); // keep concurrent compares off the clock
+    let unit = gen::fleet_input("scale", 1, 50, 2, 1, None);
+    let copies = 256 * 1024 / unit.to_json().len() + 1;
+    let small = replicated(&unit, copies).to_json();
+    let large = replicated(&unit, 8 * copies).to_json();
+    assert!(small.len() >= 256 * 1024, "{}", small.len());
+    let ratio = decode_secs(&large) / decode_secs(&small);
+    assert!(
+        ratio < 24.0,
+        "decoding {} bytes took {ratio:.1}× as long as {} bytes",
+        large.len(),
+        small.len()
+    );
+}
+
+/// A hostile body nested far past the parser's bound gets a 400, and the
+/// daemon keeps serving instead of overflowing its stack.
+#[test]
+fn deeply_nested_body_is_rejected_and_daemon_keeps_serving() {
+    let _g = trace_guard();
+    let dir = scratch("deep");
+    let mut daemon = Daemon::open(&dir, CampionOptions::default()).expect("open");
+    let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
+    let addr = listener.local_addr().expect("addr");
+    let server = std::thread::spawn(move || {
+        http::serve(&listener, |req| api::handle(&mut daemon, req)).expect("serve");
+    });
+
+    let deep = "[".repeat(100_000);
+    let (status, body) =
+        http::request(addr, "POST", "/api/v1/snapshot", Some(&deep)).expect("post");
+    assert_eq!(status, 400, "{body}");
+    assert!(body.contains("nesting deeper than"), "{body}");
+    let (status, body) = http::request(addr, "GET", "/api/v1/status", None).expect("status");
+    assert_eq!(status, 200, "{body}");
+
+    let (status, _) = http::request(addr, "POST", "/api/v1/shutdown", None).expect("shutdown");
+    assert_eq!(status, 200);
+    server.join().expect("join");
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 /// The end-to-end incrementality proof, in process: ingest a fleet, then

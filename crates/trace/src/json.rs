@@ -1,6 +1,15 @@
-//! Minimal JSON support for the trace layer: a hand-rolled parser (the
-//! workspace has no external dependencies) plus the Chrome trace-event
-//! schema validator used by the tests and the `tracecheck` binary.
+//! Minimal JSON support (the workspace has no external dependencies): a
+//! hand-rolled parser plus the Chrome trace-event schema validator used by
+//! the tests and the `tracecheck` binary.
+//!
+//! [`parse`] decodes fleet ingest bodies (`POST /api/v1/snapshot`) and
+//! fleet store documents, so it must take hostile input. It runs in time
+//! linear in the input, rejects nesting deeper than [`MAX_DEPTH`] with an
+//! error instead of recursing without bound, and takes a `\u` escape only
+//! as exactly four hex digits, joining a UTF-16 surrogate pair into one
+//! character and rejecting a lone surrogate. Elsewhere the grammar stays
+//! lenient: raw control characters inside strings are kept, and a number
+//! is whatever `f64::from_str` makes of its run of number characters.
 
 use std::collections::HashMap;
 use std::fmt;
@@ -64,164 +73,231 @@ impl Json {
     }
 }
 
+/// Deepest array/object nesting [`parse`] accepts. Store and snapshot
+/// documents nest about five levels deep; the bound keeps a body of
+/// `[[[[…` from overflowing the stack.
+pub const MAX_DEPTH: usize = 128;
+
 /// Parse a complete JSON document (trailing whitespace allowed, trailing
 /// garbage rejected).
 pub fn parse(text: &str) -> Result<Json, String> {
-    let bytes = text.as_bytes();
-    let mut pos = 0usize;
-    let value = parse_value(bytes, &mut pos)?;
-    skip_ws(bytes, &mut pos);
-    if pos != bytes.len() {
-        return Err(format!("trailing garbage at byte {pos}"));
+    let mut p = Parser {
+        text,
+        pos: 0,
+        depth: 0,
+    };
+    let value = p.value()?;
+    p.skip_ws();
+    if p.pos != text.len() {
+        return Err(format!("trailing garbage at byte {}", p.pos));
     }
     Ok(value)
 }
 
-fn skip_ws(b: &[u8], pos: &mut usize) {
-    while *pos < b.len() && matches!(b[*pos], b' ' | b'\t' | b'\n' | b'\r') {
-        *pos += 1;
-    }
+/// A cursor over the document. `pos` only ever steps over ASCII bytes or
+/// whole runs of string text that stop at `"`, `\` or the end, so it is
+/// always a char boundary of `text`.
+struct Parser<'a> {
+    text: &'a str,
+    pos: usize,
+    depth: usize,
 }
 
-fn expect(b: &[u8], pos: &mut usize, c: u8) -> Result<(), String> {
-    if *pos < b.len() && b[*pos] == c {
-        *pos += 1;
-        Ok(())
-    } else {
-        Err(format!("expected `{}` at byte {}", char::from(c), *pos))
+impl Parser<'_> {
+    fn peek(&self) -> Option<u8> {
+        self.text.as_bytes().get(self.pos).copied()
     }
-}
 
-fn parse_value(b: &[u8], pos: &mut usize) -> Result<Json, String> {
-    skip_ws(b, pos);
-    match b.get(*pos) {
-        None => Err("unexpected end of input".to_string()),
-        Some(b'{') => parse_obj(b, pos),
-        Some(b'[') => parse_arr(b, pos),
-        Some(b'"') => parse_str(b, pos).map(Json::Str),
-        Some(b't') => parse_lit(b, pos, "true", Json::Bool(true)),
-        Some(b'f') => parse_lit(b, pos, "false", Json::Bool(false)),
-        Some(b'n') => parse_lit(b, pos, "null", Json::Null),
-        Some(_) => parse_num(b, pos),
+    fn skip_ws(&mut self) {
+        while matches!(self.peek(), Some(b' ' | b'\t' | b'\n' | b'\r')) {
+            self.pos += 1;
+        }
     }
-}
 
-fn parse_lit(b: &[u8], pos: &mut usize, lit: &str, value: Json) -> Result<Json, String> {
-    if b[*pos..].starts_with(lit.as_bytes()) {
-        *pos += lit.len();
-        Ok(value)
-    } else {
-        Err(format!("invalid literal at byte {}", *pos))
+    fn expect(&mut self, c: u8) -> Result<(), String> {
+        if self.peek() == Some(c) {
+            self.pos += 1;
+            Ok(())
+        } else {
+            Err(format!("expected `{}` at byte {}", char::from(c), self.pos))
+        }
     }
-}
 
-fn parse_num(b: &[u8], pos: &mut usize) -> Result<Json, String> {
-    let start = *pos;
-    if b.get(*pos) == Some(&b'-') {
-        *pos += 1;
+    fn value(&mut self) -> Result<Json, String> {
+        self.skip_ws();
+        match self.peek() {
+            None => Err("unexpected end of input".to_string()),
+            Some(b'{') => self.nested(Self::obj),
+            Some(b'[') => self.nested(Self::arr),
+            Some(b'"') => self.string().map(Json::Str),
+            Some(b't') => self.lit("true", Json::Bool(true)),
+            Some(b'f') => self.lit("false", Json::Bool(false)),
+            Some(b'n') => self.lit("null", Json::Null),
+            Some(_) => self.num(),
+        }
     }
-    while *pos < b.len() && matches!(b[*pos], b'0'..=b'9' | b'.' | b'e' | b'E' | b'+' | b'-') {
-        *pos += 1;
-    }
-    let text = std::str::from_utf8(&b[start..*pos]).map_err(|e| e.to_string())?;
-    text.parse::<f64>()
-        .map(Json::Num)
-        .map_err(|_| format!("invalid number `{text}` at byte {start}"))
-}
 
-fn parse_str(b: &[u8], pos: &mut usize) -> Result<String, String> {
-    expect(b, pos, b'"')?;
-    let mut out = String::new();
-    loop {
-        match b.get(*pos) {
-            None => return Err("unterminated string".to_string()),
-            Some(b'"') => {
-                *pos += 1;
-                return Ok(out);
+    /// Parse an array or object one level deeper, refusing past
+    /// [`MAX_DEPTH`].
+    fn nested(&mut self, parse: fn(&mut Self) -> Result<Json, String>) -> Result<Json, String> {
+        if self.depth == MAX_DEPTH {
+            return Err(format!(
+                "nesting deeper than {MAX_DEPTH} at byte {}",
+                self.pos
+            ));
+        }
+        self.depth += 1;
+        let value = parse(self);
+        self.depth -= 1;
+        value
+    }
+
+    fn lit(&mut self, lit: &str, value: Json) -> Result<Json, String> {
+        if self.text[self.pos..].starts_with(lit) {
+            self.pos += lit.len();
+            Ok(value)
+        } else {
+            Err(format!("invalid literal at byte {}", self.pos))
+        }
+    }
+
+    fn num(&mut self) -> Result<Json, String> {
+        let start = self.pos;
+        if self.peek() == Some(b'-') {
+            self.pos += 1;
+        }
+        while matches!(
+            self.peek(),
+            Some(b'0'..=b'9' | b'.' | b'e' | b'E' | b'+' | b'-')
+        ) {
+            self.pos += 1;
+        }
+        let text = &self.text[start..self.pos];
+        text.parse::<f64>()
+            .map(Json::Num)
+            .map_err(|_| format!("invalid number `{text}` at byte {start}"))
+    }
+
+    fn string(&mut self) -> Result<String, String> {
+        self.expect(b'"')?;
+        let b = self.text.as_bytes();
+        let mut out = String::new();
+        loop {
+            // One forward scan per run of plain characters. Both stop bytes
+            // are ASCII, so the run is a valid `&str` slice of the input.
+            let start = self.pos;
+            while self.pos < b.len() && !matches!(b[self.pos], b'"' | b'\\') {
+                self.pos += 1;
             }
-            Some(b'\\') => {
-                *pos += 1;
-                match b.get(*pos) {
-                    Some(b'"') => out.push('"'),
-                    Some(b'\\') => out.push('\\'),
-                    Some(b'/') => out.push('/'),
-                    Some(b'b') => out.push('\u{8}'),
-                    Some(b'f') => out.push('\u{c}'),
-                    Some(b'n') => out.push('\n'),
-                    Some(b'r') => out.push('\r'),
-                    Some(b't') => out.push('\t'),
-                    Some(b'u') => {
-                        let hex = b.get(*pos + 1..*pos + 5).ok_or("truncated \\u escape")?;
-                        let code = u32::from_str_radix(
-                            std::str::from_utf8(hex).map_err(|e| e.to_string())?,
-                            16,
-                        )
-                        .map_err(|e| e.to_string())?;
-                        // Surrogates are replaced rather than paired; trace
-                        // names are ASCII so this never triggers in practice.
-                        out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
-                        *pos += 4;
-                    }
-                    _ => return Err(format!("invalid escape at byte {}", *pos)),
+            out.push_str(&self.text[start..self.pos]);
+            let esc = self.pos;
+            match b.get(esc) {
+                None => return Err("unterminated string".to_string()),
+                Some(b'"') => {
+                    self.pos += 1;
+                    return Ok(out);
                 }
-                *pos += 1;
+                _ => self.pos += 2, // the backslash and the escape letter
             }
-            Some(_) => {
-                // Consume one UTF-8 scalar.
-                let rest = std::str::from_utf8(&b[*pos..]).map_err(|e| e.to_string())?;
-                let c = rest.chars().next().ok_or("unterminated string")?;
-                out.push(c);
-                *pos += c.len_utf8();
+            out.push(match b.get(esc + 1) {
+                Some(b'"') => '"',
+                Some(b'\\') => '\\',
+                Some(b'/') => '/',
+                Some(b'b') => '\u{8}',
+                Some(b'f') => '\u{c}',
+                Some(b'n') => '\n',
+                Some(b'r') => '\r',
+                Some(b't') => '\t',
+                Some(b'u') => self.unicode(esc)?,
+                _ => return Err(format!("invalid escape at byte {}", esc + 1)),
+            });
+        }
+    }
+
+    /// The character of a `\u` escape whose backslash is at byte `at`: a
+    /// BMP code point, or a high surrogate joined with the low-surrogate
+    /// `\u` escape right after it. A lone surrogate is an error.
+    fn unicode(&mut self, at: usize) -> Result<char, String> {
+        let hi = self.hex4()?;
+        let lone = || format!("lone surrogate `\\u{hi:04x}` at byte {at}");
+        let code = if (0xd800..0xdc00).contains(&hi) {
+            if !self.text[self.pos..].starts_with("\\u") {
+                return Err(lone());
+            }
+            self.pos += 2;
+            let lo = self.hex4()?;
+            if !(0xdc00..0xe000).contains(&lo) {
+                return Err(lone());
+            }
+            0x10000 + ((hi - 0xd800) << 10) + (lo - 0xdc00)
+        } else {
+            hi
+        };
+        char::from_u32(code).ok_or_else(lone)
+    }
+
+    /// Exactly four hex digits.
+    fn hex4(&mut self) -> Result<u32, String> {
+        let mut code = 0;
+        for _ in 0..4 {
+            let digit = self
+                .peek()
+                .and_then(|d| char::from(d).to_digit(16))
+                .ok_or_else(|| {
+                    format!("`\\u` escape needs four hex digits at byte {}", self.pos)
+                })?;
+            code = code * 16 + digit;
+            self.pos += 1;
+        }
+        Ok(code)
+    }
+
+    fn arr(&mut self) -> Result<Json, String> {
+        self.expect(b'[')?;
+        let mut out = Vec::new();
+        self.skip_ws();
+        if self.peek() == Some(b']') {
+            self.pos += 1;
+            return Ok(Json::Arr(out));
+        }
+        loop {
+            out.push(self.value()?);
+            self.skip_ws();
+            match self.peek() {
+                Some(b',') => self.pos += 1,
+                Some(b']') => {
+                    self.pos += 1;
+                    return Ok(Json::Arr(out));
+                }
+                _ => return Err(format!("expected `,` or `]` at byte {}", self.pos)),
             }
         }
     }
-}
 
-fn parse_arr(b: &[u8], pos: &mut usize) -> Result<Json, String> {
-    expect(b, pos, b'[')?;
-    let mut out = Vec::new();
-    skip_ws(b, pos);
-    if b.get(*pos) == Some(&b']') {
-        *pos += 1;
-        return Ok(Json::Arr(out));
-    }
-    loop {
-        out.push(parse_value(b, pos)?);
-        skip_ws(b, pos);
-        match b.get(*pos) {
-            Some(b',') => *pos += 1,
-            Some(b']') => {
-                *pos += 1;
-                return Ok(Json::Arr(out));
-            }
-            _ => return Err(format!("expected `,` or `]` at byte {}", *pos)),
+    fn obj(&mut self) -> Result<Json, String> {
+        self.expect(b'{')?;
+        let mut out = Vec::new();
+        self.skip_ws();
+        if self.peek() == Some(b'}') {
+            self.pos += 1;
+            return Ok(Json::Obj(out));
         }
-    }
-}
-
-fn parse_obj(b: &[u8], pos: &mut usize) -> Result<Json, String> {
-    expect(b, pos, b'{')?;
-    let mut out = Vec::new();
-    skip_ws(b, pos);
-    if b.get(*pos) == Some(&b'}') {
-        *pos += 1;
-        return Ok(Json::Obj(out));
-    }
-    loop {
-        skip_ws(b, pos);
-        let key = parse_str(b, pos)?;
-        skip_ws(b, pos);
-        expect(b, pos, b':')?;
-        let value = parse_value(b, pos)?;
-        out.push((key, value));
-        skip_ws(b, pos);
-        match b.get(*pos) {
-            Some(b',') => *pos += 1,
-            Some(b'}') => {
-                *pos += 1;
-                return Ok(Json::Obj(out));
+        loop {
+            self.skip_ws();
+            let key = self.string()?;
+            self.skip_ws();
+            self.expect(b':')?;
+            let value = self.value()?;
+            out.push((key, value));
+            self.skip_ws();
+            match self.peek() {
+                Some(b',') => self.pos += 1,
+                Some(b'}') => {
+                    self.pos += 1;
+                    return Ok(Json::Obj(out));
+                }
+                _ => return Err(format!("expected `,` or `}}` at byte {}", self.pos)),
             }
-            _ => return Err(format!("expected `,` or `}}` at byte {}", *pos)),
         }
     }
 }

@@ -374,3 +374,46 @@ fn json_parser_round_trips_edge_cases() {
     assert!(json::parse(r#"{"k": 01x}"#).is_err());
     assert_eq!(json::escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
 }
+
+#[test]
+fn json_parser_bounds_nesting() {
+    let ok = format!(
+        "{}{}",
+        "[".repeat(json::MAX_DEPTH),
+        "]".repeat(json::MAX_DEPTH)
+    );
+    assert!(json::parse(&ok).is_ok());
+    let deep = "[".repeat(json::MAX_DEPTH + 1);
+    assert_eq!(
+        json::parse(&deep).unwrap_err(),
+        format!("nesting deeper than {0} at byte {0}", json::MAX_DEPTH)
+    );
+    // Far past the bound: an error, not a stack overflow.
+    let hostile = "{\"a\":".repeat(100_000);
+    assert!(json::parse(&hostile)
+        .unwrap_err()
+        .starts_with("nesting deeper than"));
+}
+
+#[test]
+fn json_parser_unicode_escapes_are_strict() {
+    let s = |text: &str| json::parse(text).map(|v| v.as_str().map(str::to_string));
+    assert_eq!(s(r#""\u0041\u00e9\u20AC""#), Ok(Some("Aé€".to_string())));
+    // A surrogate pair joins into one non-BMP character.
+    assert_eq!(s(r#""x\ud83d\ude00y""#), Ok(Some("x😀y".to_string())));
+    // Raw multi-byte text passes through untouched beside escapes.
+    assert_eq!(s("\"é\\n😀\""), Ok(Some("é\n😀".to_string())));
+    for (bad, why) in [
+        (
+            r#""\u+041""#,
+            "`\\u` escape needs four hex digits at byte 3",
+        ),
+        (r#""\u04""#, "`\\u` escape needs four hex digits at byte 5"),
+        (r#""ab\ud83d""#, "lone surrogate `\\ud83d` at byte 3"),
+        (r#""\ud83dx""#, "lone surrogate `\\ud83d` at byte 1"),
+        (r#""\ud83d\u0041""#, "lone surrogate `\\ud83d` at byte 1"),
+        (r#""\ude00""#, "lone surrogate `\\ude00` at byte 1"),
+    ] {
+        assert_eq!(json::parse(bad).unwrap_err(), why, "{bad}");
+    }
+}
