@@ -4,9 +4,10 @@
 //! The builder closes the input set under intersection, deduplicates by
 //! denoted set, and wires cover edges — since PR 6 all of that is decided
 //! structurally on `(bits, len, lo-hi)` through a first-octet-bucketed
-//! prefix trie, with the BDD encoded once per distinct node. This bench
-//! watches exactly that path, so a regression here is a builder regression
-//! and not a parser or SemanticDiff one.
+//! prefix trie, and no BDD is encoded until a localization visits a node,
+//! so the build never touches the BDD engine. This bench watches exactly
+//! that path, so a regression here is a builder regression and not a
+//! parser, SemanticDiff or GetMatch one.
 //!
 //! Inputs are generated with a fixed-seed LCG and squeezed into four first
 //! octets so the closure produces real intersections instead of a forest
@@ -14,9 +15,8 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
-use campion_core::{DstAddrSpace, RangeDag};
+use campion_core::{RangeDag, RangeSemantics};
 use campion_net::{Prefix, PrefixRange};
-use campion_symbolic::PacketSpace;
 
 /// `n` deterministic or-longer ranges over a crowded corner of the
 /// address space (fixed-seed LCG; no `rand` dependency).
@@ -42,14 +42,8 @@ fn ddnf_build(c: &mut Criterion) {
         let ranges = gen_ranges(size);
         group.bench_with_input(BenchmarkId::from_parameter(size), &size, |b, _| {
             b.iter(|| {
-                // Fresh space per iteration: a shared manager would let the
-                // second build ride the first one's unique table and measure
-                // cache luck instead of the builder.
-                let mut packets = PacketSpace::new();
-                let dag = RangeDag::build(&mut DstAddrSpace(&mut packets), &ranges);
-                let nodes = dag.len();
-                dag.release(&mut packets.manager);
-                std::hint::black_box(nodes)
+                let dag = RangeDag::build(RangeSemantics::Addresses, &ranges);
+                std::hint::black_box(dag.len())
             })
         });
     }

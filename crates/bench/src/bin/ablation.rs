@@ -164,13 +164,14 @@ fn main() {
         }
     }
     let t0 = Instant::now();
-    let dag = RangeDag::build(&mut headerloc::DstAddrSpace(&mut space), &ranges);
+    let dag = RangeDag::build(headerloc::RangeSemantics::Addresses, &ranges);
     for d in &diffs {
         let proj = space.project_to_dst(d.input);
         let _ =
             headerloc::header_localize_with(&mut headerloc::DstAddrSpace(&mut space), proj, &dag);
     }
     let t_reuse = t0.elapsed();
+    dag.release(&mut space.manager);
     let t0 = Instant::now();
     for d in &diffs {
         let proj = space.project_to_dst(d.input);

@@ -9,13 +9,13 @@
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-use campion_bdd::{GcPolicy, ManagerStats, SharedPool};
+use campion_bdd::{AnyManager, GcPolicy, ManagerStats, SharedPool};
 use campion_cfg::Span;
 use campion_ir::{AclIr, RoutePolicy, RouterIr};
 use campion_net::PrefixRange;
 use campion_symbolic::{PacketSpace, RouteSpace};
 
-use crate::headerloc::{self, DstAddrSpace, SrcAddrSpace};
+use crate::headerloc::{self, DstAddrSpace, RangeEncoder, RangeSemantics, SrcAddrSpace};
 use crate::matching::{match_policies, PolicyPair};
 use crate::report::{CampionReport, PolicyDiffReport, StructuralFinding};
 use crate::semantic::{
@@ -492,12 +492,11 @@ fn diff_policy_pair(
     space.manager.gc_checkpoint();
 
     // The range universe R: every range in either configuration (§3.2).
-    // The ddNF over R is built once and reused for every difference (its
-    // node sets are rooted by `build`).
+    // The ddNF over R is built once and reused for every difference; it is
+    // pure structure, so building it allocates no BDD nodes.
     let mut ranges: Vec<PrefixRange> = p1.prefix_ranges();
     ranges.extend(p2.prefix_ranges());
-    let dag = headerloc::RangeDag::build(&mut space, &ranges);
-    space.manager.gc_checkpoint();
+    let dag = headerloc::RangeDag::build(space.semantics(), &ranges);
 
     let inner_jobs = opts.effective_jobs().min(diffs.len());
     let out: Vec<PolicyDiffReport> = if diffs.is_empty() {
@@ -512,14 +511,17 @@ fn diff_policy_pair(
         // sibling worker, and a collection it requests at a safe point
         // can only proceed once the (blocked) parent is off the active
         // roster. No-op for private managers.
-        let (mut sp, dg) = (space.clone(), dag.clone());
+        let mut snap = Snapshot::of(&space, [&dag], |s| &mut s.manager);
         let out = space.manager.with_idle(|| {
             diffs
                 .iter()
-                .map(|d| present_policy_diff(r1, r2, &mut sp, &dg, &p1, &p2, pair, d, opts))
+                .map(|d| {
+                    let (sp, [dg]) = (&mut snap.space, &snap.dags);
+                    present_policy_diff(r1, r2, sp, dg, &p1, &p2, pair, d, opts)
+                })
                 .collect()
         });
-        drop(sp);
+        drop(snap);
         for d in &diffs {
             space.manager.unprotect(d.input);
         }
@@ -535,15 +537,18 @@ fn diff_policy_pair(
         // can collect) until the roots are dropped below, at the same safe
         // point a sequential run reaches.
         let parent = campion_trace::track().unwrap_or(0);
-        let states: Vec<(RouteSpace, headerloc::RangeDag)> = (0..inner_jobs)
-            .map(|_| (space.clone(), dag.clone()))
+        let states: Vec<Snapshot<RouteSpace, 1>> = (0..inner_jobs)
+            .map(|_| Snapshot::of(&space, [&dag], |s| &mut s.manager))
             .collect();
         let out = space.manager.with_idle(|| {
             steal_indexed(
                 states,
                 diffs.len(),
                 |w| campion_trace::set_track(campion_trace::sub_track(parent, w as u32)),
-                |(sp, dg), i| present_policy_diff(r1, r2, sp, dg, &p1, &p2, pair, &diffs[i], opts),
+                |snap, i| {
+                    let (sp, [dg]) = (&mut snap.space, &snap.dags);
+                    present_policy_diff(r1, r2, sp, dg, &p1, &p2, pair, &diffs[i], opts)
+                },
             )
         });
         for d in &diffs {
@@ -563,6 +568,39 @@ fn diff_policy_pair(
     stats.early_exits = prune.early_exits;
     attach_stats_delta(&mut item_span, &stats_at_entry, &stats);
     (out, stats)
+}
+
+/// One presentation worker's snapshot of a pair: a clone of the space and
+/// of each range DAG. A DAG clone roots the node sets it encodes in the
+/// clone's manager — on the shared engine, in the arena the clone shares
+/// with the parent — so dropping the snapshot releases them.
+struct Snapshot<S, const N: usize> {
+    space: S,
+    dags: [headerloc::RangeDag; N],
+    manager: fn(&mut S) -> &mut AnyManager,
+}
+
+impl<S: Clone, const N: usize> Snapshot<S, N> {
+    fn of(
+        space: &S,
+        dags: [&headerloc::RangeDag; N],
+        manager: fn(&mut S) -> &mut AnyManager,
+    ) -> Self {
+        Snapshot {
+            space: space.clone(),
+            dags: dags.map(Clone::clone),
+            manager,
+        }
+    }
+}
+
+impl<S, const N: usize> Drop for Snapshot<S, N> {
+    fn drop(&mut self) {
+        let manager = (self.manager)(&mut self.space);
+        for dag in &self.dags {
+            dag.release(manager);
+        }
+    }
 }
 
 /// Present one route-map difference: localize its input over the pair's
@@ -813,9 +851,8 @@ fn diff_acl_pair(
         }
     }
 
-    let dst_dag = headerloc::RangeDag::build(&mut DstAddrSpace(&mut space), &dst_ranges);
-    let src_dag = headerloc::RangeDag::build(&mut SrcAddrSpace(&mut space), &src_ranges);
-    space.manager.gc_checkpoint();
+    let dst_dag = headerloc::RangeDag::build(RangeSemantics::Addresses, &dst_ranges);
+    let src_dag = headerloc::RangeDag::build(RangeSemantics::Addresses, &src_ranges);
     let inner_jobs = opts.effective_jobs().min(diffs.len());
     let out: Vec<PolicyDiffReport> = if diffs.is_empty() {
         Vec::new()
@@ -824,14 +861,17 @@ fn diff_acl_pair(
         // the main manager's operation sequence (and so the pair's
         // ManagerStats) identical at every worker count; the parent goes
         // idle for the clone's safe points — see diff_policy_pair.
-        let (mut sp, ddag, sdag) = (space.clone(), dst_dag.clone(), src_dag.clone());
+        let mut snap = Snapshot::of(&space, [&dst_dag, &src_dag], |s| &mut s.manager);
         let out = space.manager.with_idle(|| {
             diffs
                 .iter()
-                .map(|d| present_acl_diff(r1, r2, &mut sp, &ddag, &sdag, a1, a2, d))
+                .map(|d| {
+                    let (sp, [ddag, sdag]) = (&mut snap.space, &snap.dags);
+                    present_acl_diff(r1, r2, sp, ddag, sdag, a1, a2, d)
+                })
                 .collect()
         });
-        drop(sp);
+        drop(snap);
         for d in &diffs {
             space.manager.unprotect(d.input);
         }
@@ -840,15 +880,18 @@ fn diff_acl_pair(
     } else {
         // Per-difference fan-out over snapshot clones; see diff_policy_pair.
         let parent = campion_trace::track().unwrap_or(0);
-        let states: Vec<(PacketSpace, headerloc::RangeDag, headerloc::RangeDag)> = (0..inner_jobs)
-            .map(|_| (space.clone(), dst_dag.clone(), src_dag.clone()))
+        let states: Vec<Snapshot<PacketSpace, 2>> = (0..inner_jobs)
+            .map(|_| Snapshot::of(&space, [&dst_dag, &src_dag], |s| &mut s.manager))
             .collect();
         let out = space.manager.with_idle(|| {
             steal_indexed(
                 states,
                 diffs.len(),
                 |w| campion_trace::set_track(campion_trace::sub_track(parent, w as u32)),
-                |(sp, ddag, sdag), i| present_acl_diff(r1, r2, sp, ddag, sdag, a1, a2, &diffs[i]),
+                |snap, i| {
+                    let (sp, [ddag, sdag]) = (&mut snap.space, &snap.dags);
+                    present_acl_diff(r1, r2, sp, ddag, sdag, a1, a2, &diffs[i])
+                },
             )
         });
         for d in &diffs {

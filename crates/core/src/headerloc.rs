@@ -29,24 +29,33 @@
 //!   covering prefix, so the key is the prefix and containment is
 //!   [`Prefix::contains`].
 //!
-//! [`RangeEncoder::semantics`] says which reading applies. BDDs are still
-//! *encoded* — once per distinct node, since `GetMatch` consumes them — but
-//! the closure/containment passes never call `diff`, and a [`PrefixTrie`]
+//! [`RangeEncoder::semantics`] says which reading applies. A [`PrefixTrie`]
 //! over the node prefixes supplies each node's possible partners (only
-//! prefix-nested ranges can be related) instead of a per-call BTreeMap scan
-//! with sort/dedup. The pre-trie, BDD-deciding builder is retained as
-//! [`build_ddnf_oracle`]; a property suite asserts both produce identical
-//! DAGs, node order included.
+//! prefix-nested ranges can be related) instead of an all-pairs scan. The
+//! BDD-deciding builder this replaced survives as a test-only oracle; a
+//! property suite asserts both produce identical DAGs, node order included.
 //!
 //! ## How localization queries are kept cheap
 //!
-//! A pair's DAG serves ~10 difference queries, which overlap heavily. Three
-//! caches exploit that: per-node remainders (`λ(n) − children`) are computed
-//! once at build time; `GetMatch` results are memoized per `(node, S)` on
-//! the DAG (`¬S` recursions hit the same table); and `¬S` itself is computed
-//! once per localize call, not once per included node.
+//! A pair's DAG has thousands of nodes, but each difference set `S` meets
+//! only a handful of them. Localization is made to cost what its output
+//! touches, not what the DAG holds:
+//!
+//! * `GetMatch` stops at a node whose set is disjoint from its target set
+//!   (every descendant lies inside the node's set, so the whole sub-DAG
+//!   contributes nothing and splits no cell);
+//! * a node's set `λ(n)` is encoded on `GetMatch`'s first visit to it, and
+//!   its remainder (`λ(n) − children`) on the first visit that overlaps
+//!   the target — nodes no query reaches are never encoded;
+//! * `GetMatch` results are memoized per `(node, S)` (`¬S` recursions hit
+//!   the same table), and `¬S` itself is computed once per localize call.
+//!
+//! Encoded sets and remainders are rooted as they are made, so they stay
+//! cached across the collections run between differences, and
+//! [`RangeDag::release`] unroots exactly those. Memo entries last one GC
+//! generation. A clone of the DAG starts with an empty cache of its own.
 
-use std::cell::{Cell, RefCell};
+use std::cell::RefCell;
 use std::collections::HashMap;
 
 use campion_bdd::{AnyManager, Bdd};
@@ -211,41 +220,131 @@ impl std::fmt::Display for HeaderLocalization {
 /// `GetMatch` memo table: `(node, S) → (terms, exact)`.
 type GetMatchMemo = HashMap<(usize, Bdd), (Vec<NestedTerm>, bool)>;
 
+/// The BDD side of a [`RangeDag`], filled in as `GetMatch` visits nodes.
+/// Encoded sets and remainders are protected as they are made, so they
+/// survive the collections the driver runs between differences;
+/// [`RangeDag::release`] unprotects exactly those. Memo entries name `S`
+/// handles, which a sweep may recycle, so the memo belongs to one GC
+/// generation: it is emptied whenever the manager's sweep count moves past
+/// `memo_gen`.
+struct QueryCache {
+    /// `λ(n)`, encoded on `n`'s first visit.
+    sets: Vec<Option<Bdd>>,
+    /// `λ(n) − children`, computed on `n`'s first visit that overlaps its
+    /// target set.
+    remainders: Vec<Option<Bdd>>,
+    memo: GetMatchMemo,
+    memo_gen: u64,
+    /// Poison flag: [`RangeDag::release`] dropped the roots, after which
+    /// localizing against the DAG would read collectable BDDs.
+    released: bool,
+}
+
+impl QueryCache {
+    /// An empty cache over `n` nodes.
+    fn new(n: usize) -> QueryCache {
+        QueryCache {
+            sets: vec![None; n],
+            remainders: vec![None; n],
+            memo: HashMap::new(),
+            memo_gen: u64::MAX,
+            released: false,
+        }
+    }
+
+    /// `λ(node)`, encoding and rooting it on first use.
+    fn set<E: RangeEncoder>(&mut self, space: &mut E, dag: &RangeDag, node: usize) -> Bdd {
+        if let Some(b) = self.sets[node] {
+            return b;
+        }
+        let b = space.encode(&dag.ranges[node]);
+        debug_assert!(!space.manager().is_false(b), "nonempty key, empty set");
+        space.manager().protect(b);
+        self.sets[node] = Some(b);
+        b
+    }
+
+    /// `λ(node)` minus its children (equal to the range itself at leaves),
+    /// rooted on first use.
+    fn remainder<E: RangeEncoder>(&mut self, space: &mut E, dag: &RangeDag, node: usize) -> Bdd {
+        if let Some(rem) = self.remainders[node] {
+            return rem;
+        }
+        let mut rem = self.set(space, dag, node);
+        for &k in &dag.children[node] {
+            let kid = self.set(space, dag, k);
+            rem = space.manager().diff(rem, kid);
+        }
+        space.manager().protect(rem);
+        self.remainders[node] = Some(rem);
+        rem
+    }
+}
+
 /// The ddNF DAG over prefix ranges. Build it once per compared pair with
 /// [`RangeDag::build`] and localize many difference sets against it.
 ///
-/// Cloning a DAG alongside a clone of its manager-owning space yields an
-/// independent snapshot whose node handles (and memo entries) remain valid
-/// in the cloned arena — the basis of the driver's per-difference fan-out.
-#[derive(Clone)]
+/// The DAG itself is pure structure; node sets are encoded into the
+/// caller's space (and rooted there) only when a localization first visits
+/// them, and [`RangeDag::release`] drops those roots. A clone shares the
+/// structure but starts with an empty cache, so every root it takes is its
+/// own to release — in a cloned arena or a fork of a shared one alike. The
+/// driver's per-difference fan-out gives each worker such a clone.
 pub struct RangeDag {
+    /// What set a node's range denotes; the encoder localizing against the
+    /// DAG must read ranges the same way.
+    sem: RangeSemantics,
     /// Node ranges (label function λ).
     ranges: Vec<PrefixRange>,
-    /// Node BDDs (the denoted prefix sets).
-    bdds: Vec<Bdd>,
     /// Cover-edge children per node.
     children: Vec<Vec<usize>>,
-    /// Per-node remainder (`λ(n) − children`), precomputed at build time so
-    /// localize queries stop re-deriving them node by node.
-    remainders: Vec<Bdd>,
     /// Index of the universe node.
     root: usize,
-    /// Poison flag: [`RangeDag::release`] drops the GC roots, after which
-    /// localizing against this DAG would read collectable BDDs.
-    released: Cell<bool>,
-    /// `GetMatch` memo: `(node, S) → (terms, exact)`. Valid for one GC
-    /// generation — a sweep may recycle node indices, so the table is
-    /// cleared whenever the manager's sweep count moves past `memo_gen`.
-    memo: RefCell<GetMatchMemo>,
-    memo_gen: Cell<u64>,
+    cache: RefCell<QueryCache>,
+}
+
+impl Clone for RangeDag {
+    fn clone(&self) -> RangeDag {
+        RangeDag::from_structure(self.sem, self.ranges.clone(), self.children.clone())
+    }
 }
 
 impl RangeDag {
     /// Build the ddNF over the given configuration ranges (plus the
-    /// universe, closed under intersection).
-    pub fn build<E: RangeEncoder>(space: &mut E, ranges: &[PrefixRange]) -> RangeDag {
+    /// universe, closed under intersection), reading each range as `sem`
+    /// says. Structural only: no BDD is encoded here.
+    pub fn build(sem: RangeSemantics, ranges: &[PrefixRange]) -> RangeDag {
         campion_trace::span!("headerloc.ddnf");
-        build_ddnf(space, ranges)
+        let (ranges, keys, trie) = {
+            campion_trace::span!("headerloc.ddnf.close");
+            closed_ranges(sem, ranges)
+        };
+        let children = {
+            campion_trace::span!("headerloc.ddnf.edges");
+            cover_edges(&ranges, &keys, &trie)
+        };
+        RangeDag::from_structure(sem, ranges, children)
+    }
+
+    /// A DAG over the given nodes and cover edges, nothing encoded; the
+    /// root is the universe node.
+    fn from_structure(
+        sem: RangeSemantics,
+        ranges: Vec<PrefixRange>,
+        children: Vec<Vec<usize>>,
+    ) -> RangeDag {
+        let root = ranges
+            .iter()
+            .position(|r| *r == PrefixRange::universe())
+            .expect("universe inserted first");
+        let cache = RefCell::new(QueryCache::new(ranges.len()));
+        RangeDag {
+            sem,
+            ranges,
+            children,
+            root,
+            cache,
+        }
     }
 
     /// Number of nodes (for diagnostics).
@@ -253,14 +352,21 @@ impl RangeDag {
         self.ranges.len()
     }
 
-    /// Drop the GC roots this DAG holds on its node sets ([`RangeDag::build`]
-    /// protects every node BDD and remainder so the DAG survives the
-    /// collections the driver runs between differences). The DAG must not
-    /// be used for localization afterwards (debug-asserted).
+    /// Number of nodes whose set has been encoded — the output-sensitivity
+    /// measure localization is tested against.
+    #[doc(hidden)]
+    pub fn encoded_len(&self) -> usize {
+        self.cache.borrow().sets.iter().flatten().count()
+    }
+
+    /// Drop the GC roots this DAG took on the node sets and remainders it
+    /// encoded. The DAG must not be used for localization afterwards
+    /// (debug-asserted).
     pub fn release(&self, manager: &mut AnyManager) {
-        debug_assert!(!self.released.get(), "RangeDag released twice");
-        self.released.set(true);
-        for &b in self.bdds.iter().chain(self.remainders.iter()) {
+        let mut cache = self.cache.borrow_mut();
+        debug_assert!(!cache.released, "RangeDag released twice");
+        cache.released = true;
+        for &b in cache.sets.iter().chain(&cache.remainders).flatten() {
             manager.unprotect(b);
         }
     }
@@ -271,24 +377,17 @@ impl RangeDag {
     }
 }
 
-type Ddnf = RangeDag;
-
 /// Close a range set under intersection, deduplicating by denoted set via
-/// structural keys. BDDs are encoded (and rooted) once per distinct node;
-/// the trie answers partner queries for the fixpoint loop.
-fn closed_ranges<E: RangeEncoder>(
-    space: &mut E,
+/// structural keys; the trie answers partner queries for the fixpoint loop.
+fn closed_ranges(
+    sem: RangeSemantics,
     ranges: &[PrefixRange],
-) -> (Vec<PrefixRange>, Vec<Bdd>, Vec<SetKey>, PrefixTrie) {
-    let sem = space.semantics();
+) -> (Vec<PrefixRange>, Vec<SetKey>, PrefixTrie) {
     let mut out: Vec<PrefixRange> = Vec::new();
-    let mut bdds: Vec<Bdd> = Vec::new();
     let mut keys: Vec<SetKey> = Vec::new();
     let mut trie = PrefixTrie::new();
     let mut seen: std::collections::HashSet<SetKey> = std::collections::HashSet::new();
-    let mut push = |space: &mut E,
-                    out: &mut Vec<PrefixRange>,
-                    bdds: &mut Vec<Bdd>,
+    let mut push = |out: &mut Vec<PrefixRange>,
                     keys: &mut Vec<SetKey>,
                     trie: &mut PrefixTrie,
                     r: PrefixRange| {
@@ -296,27 +395,14 @@ fn closed_ranges<E: RangeEncoder>(
             return; // denotes ∅ — e.g. length bounds under the prefix's bits
         };
         if seen.insert(key) {
-            let b = space.encode(&r);
-            debug_assert!(!space.manager().is_false(b), "nonempty key, empty set");
-            // Root every distinct node set: the DAG outlives the safe
-            // points between localizations (released by `RangeDag::release`).
-            space.manager().protect(b);
             trie.insert(out.len(), &r.prefix);
             out.push(r);
-            bdds.push(b);
             keys.push(key);
         }
     };
-    push(
-        space,
-        &mut out,
-        &mut bdds,
-        &mut keys,
-        &mut trie,
-        PrefixRange::universe(),
-    );
+    push(&mut out, &mut keys, &mut trie, PrefixRange::universe());
     for r in ranges {
-        push(space, &mut out, &mut bdds, &mut keys, &mut trie, *r);
+        push(&mut out, &mut keys, &mut trie, *r);
     }
     // Fixpoint closure under pairwise intersection, with the trie supplying
     // each node's possible partners (only prefix-nested ranges intersect)
@@ -330,22 +416,17 @@ fn closed_ranges<E: RangeEncoder>(
                 break;
             }
             if let Some(x) = out[i].intersect(&out[j]) {
-                push(space, &mut out, &mut bdds, &mut keys, &mut trie, x);
+                push(&mut out, &mut keys, &mut trie, x);
             }
         }
         i += 1;
     }
-    (out, bdds, keys, trie)
+    (out, keys, trie)
 }
 
-/// Build the ddNF DAG from the closed range set, deciding containment on
-/// the structural set keys.
-fn build_ddnf<E: RangeEncoder>(space: &mut E, ranges: &[PrefixRange]) -> Ddnf {
-    let (ranges, bdds, keys, trie) = {
-        campion_trace::span!("headerloc.ddnf.close");
-        closed_ranges(space, ranges)
-    };
-    campion_trace::span!("headerloc.ddnf.edges");
+/// Cover-edge children per node: `m → c` exactly when `set(c) ⊂ set(m)`
+/// with no node in between.
+fn cover_edges(ranges: &[PrefixRange], keys: &[SetKey], trie: &PrefixTrie) -> Vec<Vec<usize>> {
     let n = ranges.len();
     // containers[c] = nodes whose set strictly contains node c's set
     // (structurally different but equal ranges were already merged, so
@@ -375,198 +456,7 @@ fn build_ddnf<E: RangeEncoder>(space: &mut E, ranges: &[PrefixRange]) -> Ddnf {
             }
         }
     }
-    finish_dag(space, ranges, bdds, children)
-}
-
-/// Shared tail of both builders: locate the root and precompute (and root)
-/// every node's remainder.
-fn finish_dag<E: RangeEncoder>(
-    space: &mut E,
-    ranges: Vec<PrefixRange>,
-    bdds: Vec<Bdd>,
-    children: Vec<Vec<usize>>,
-) -> Ddnf {
-    campion_trace::span!("headerloc.ddnf.remainders");
-    let root = ranges
-        .iter()
-        .position(|r| *r == PrefixRange::universe())
-        .expect("universe inserted first");
-    let mut remainders = Vec::with_capacity(bdds.len());
-    for (i, &b) in bdds.iter().enumerate() {
-        let mut rem = b;
-        for &k in &children[i] {
-            rem = space.manager().diff(rem, bdds[k]);
-        }
-        space.manager().protect(rem);
-        remainders.push(rem);
-    }
-    Ddnf {
-        ranges,
-        bdds,
-        children,
-        remainders,
-        root,
-        released: Cell::new(false),
-        memo: RefCell::new(HashMap::new()),
-        memo_gen: Cell::new(u64::MAX),
-    }
-}
-
-/// The pre-trie `closed_ranges`: BDD-keyed dedup plus a BTreeMap prefix
-/// index. Retained verbatim as the differential oracle for the structural
-/// builder (`tests::ddnf` asserts identical DAGs).
-fn closed_ranges_oracle<E: RangeEncoder>(
-    space: &mut E,
-    ranges: &[PrefixRange],
-) -> (Vec<PrefixRange>, Vec<Bdd>, RangeIndex) {
-    let mut out: Vec<PrefixRange> = Vec::new();
-    let mut bdds: Vec<Bdd> = Vec::new();
-    let mut seen: std::collections::HashSet<Bdd> = std::collections::HashSet::new();
-    let mut push =
-        |space: &mut E, out: &mut Vec<PrefixRange>, bdds: &mut Vec<Bdd>, r: PrefixRange| {
-            let b = space.encode(&r);
-            if space.manager().is_false(b) {
-                return;
-            }
-            if seen.insert(b) {
-                space.manager().protect(b);
-                out.push(r);
-                bdds.push(b);
-            }
-        };
-    push(space, &mut out, &mut bdds, PrefixRange::universe());
-    for r in ranges {
-        push(space, &mut out, &mut bdds, *r);
-    }
-    let mut index = RangeIndex::new();
-    for (id, r) in out.iter().enumerate() {
-        index.insert(id, r);
-    }
-    let mut i = 0;
-    while i < out.len() {
-        for j in index.candidates(&out[i]) {
-            if j >= i {
-                break;
-            }
-            if let Some(x) = out[i].intersect(&out[j]) {
-                let before = out.len();
-                push(space, &mut out, &mut bdds, x);
-                if out.len() > before {
-                    index.insert(before, &out[before]);
-                }
-            }
-        }
-        i += 1;
-    }
-    (out, bdds, index)
-}
-
-/// The pre-trie DAG builder, deciding containment with BDD `diff`. Retained
-/// as the differential-testing oracle for [`RangeDag::build`]; not used on
-/// the production path.
-#[doc(hidden)]
-pub fn build_ddnf_oracle<E: RangeEncoder>(space: &mut E, ranges: &[PrefixRange]) -> RangeDag {
-    let (ranges, bdds, index) = closed_ranges_oracle(space, ranges);
-    let n = ranges.len();
-    let mut containers: Vec<Vec<usize>> = vec![Vec::new(); n];
-    for c in 0..n {
-        for m in index.candidates(&ranges[c]) {
-            if c == m || ranges[c].intersect(&ranges[m]).is_none() {
-                continue;
-            }
-            let extra = space.manager().diff(bdds[c], bdds[m]);
-            if space.manager().is_false(extra) {
-                containers[c].push(m);
-            }
-        }
-    }
-    let mut children: Vec<Vec<usize>> = vec![Vec::new(); n];
-    for c in 0..n {
-        for &m in &containers[c] {
-            let covered = containers[c]
-                .iter()
-                .any(|&k| k != m && containers[k].contains(&m));
-            if !covered {
-                children[m].push(c);
-            }
-        }
-    }
-    finish_dag(space, ranges, bdds, children)
-}
-
-/// The DAG's full skeleton `(ranges, bdds, children, remainders, root)`,
-/// for the differential suite's node-order-included equality assertions
-/// (two builds in one manager must agree on every node handle too).
-#[doc(hidden)]
-#[allow(clippy::type_complexity)]
-pub fn dag_structure(dag: &RangeDag) -> (&[PrefixRange], &[Bdd], &[Vec<usize>], &[Bdd], usize) {
-    (
-        &dag.ranges,
-        &dag.bdds,
-        &dag.children,
-        &dag.remainders,
-        dag.root,
-    )
-}
-
-/// Candidate-pair index for the oracle's closure and containment scans.
-///
-/// Two prefix ranges can intersect only when one's prefix is a truncation
-/// of the other's (`PrefixRange::intersect` demands the shorter prefix's
-/// bits match the longer's), so node `i`'s possible partners all carry
-/// either a truncation of `ranges[i].prefix` — found by exact lookup at
-/// each length — or an extension of it — found by scanning `i`'s address
-/// block in a map ordered by `(bits, len)`. The result is a superset of
-/// the true partner set (the caller still runs `intersect`), returned in
-/// ascending node order so scan order matches the plain nested loops
-/// exactly (node order flows into report rendering order).
-/// [`PrefixTrie`] answers the same query without the per-call sort/dedup.
-struct RangeIndex {
-    by_prefix: std::collections::BTreeMap<(u32, u8), Vec<usize>>,
-}
-
-impl RangeIndex {
-    fn new() -> Self {
-        RangeIndex {
-            by_prefix: std::collections::BTreeMap::new(),
-        }
-    }
-
-    fn insert(&mut self, id: usize, r: &PrefixRange) {
-        self.by_prefix
-            .entry((r.prefix.bits(), r.prefix.len()))
-            .or_default()
-            .push(id);
-    }
-
-    fn candidates(&self, r: &PrefixRange) -> Vec<usize> {
-        let p = &r.prefix;
-        let mut out = Vec::new();
-        // Strict truncations of p (p itself falls inside the block scan).
-        for len in 0..p.len() {
-            let bits = if len == 0 {
-                0
-            } else {
-                p.bits() & (u32::MAX << (32 - u32::from(len)))
-            };
-            if let Some(v) = self.by_prefix.get(&(bits, len)) {
-                out.extend_from_slice(v);
-            }
-        }
-        // Everything whose bits lie inside p's address block: all
-        // extensions of p (plus p itself, plus a few same-block keys the
-        // intersect re-check weeds out).
-        let block_end = p.bits() | (((1u64 << (32 - u64::from(p.len()))) - 1) as u32);
-        for (_, v) in self
-            .by_prefix
-            .range((p.bits(), p.len())..=(block_end, 32u8))
-        {
-            out.extend_from_slice(v);
-        }
-        out.sort_unstable();
-        out.dedup();
-        out
-    }
+    children
 }
 
 /// `GetMatch` (paper §3.2): returns terms representing `S ∩ set(node)`,
@@ -578,67 +468,63 @@ struct NestedTerm {
     minus: Vec<NestedTerm>,
 }
 
-/// One `GetMatch` node visit, memoized per `(node, s)` on the DAG. `not_s`
-/// is `¬s`, threaded down so the include-branch recursion (which queries
-/// the complement) costs no `not()` calls; the roles swap on recursion
-/// since `¬¬s = s` is free in a canonical BDD.
+/// One `GetMatch` node visit, memoized per `(node, s)` in the DAG's query
+/// cache. `not_s` is `¬s`, threaded down so the include-branch recursion
+/// (which queries the complement) costs no `not()` calls; the roles swap on
+/// recursion since `¬¬s = s` is free in a canonical BDD.
 fn get_match<E: RangeEncoder>(
     space: &mut E,
-    ddnf: &Ddnf,
+    dag: &RangeDag,
+    cache: &mut QueryCache,
     s: Bdd,
     not_s: Bdd,
     node: usize,
     exact: &mut bool,
 ) -> Vec<NestedTerm> {
-    if let Some((terms, sub_exact)) = ddnf.memo.borrow().get(&(node, s)).cloned() {
+    if let Some((terms, sub_exact)) = cache.memo.get(&(node, s)) {
         if !sub_exact {
             *exact = false;
         }
-        return terms;
+        return terms.clone();
     }
-    let range_bdd = ddnf.bdds[node];
-    let kids = &ddnf.children[node];
-    // Remainder = range minus all children (precomputed; equals the range
-    // itself at leaves).
-    let remainder = ddnf.remainders[node];
+    // Every descendant lies inside λ(node), so when λ(node) misses S the
+    // whole sub-DAG does: nothing is included, no cell splits S, and the
+    // answer is [] with `exact` untouched. This keeps a query's cost (and
+    // the nodes it encodes) proportional to the part of the DAG S touches.
+    let range_bdd = cache.set(space, dag, node);
+    let overlap = space.manager().and(range_bdd, s);
+    if space.manager().is_false(overlap) {
+        return Vec::new();
+    }
+    let remainder = cache.remainder(space, dag, node);
     let mut sub_exact = true;
     let rem_outside = space.manager().diff(remainder, s);
-    let overlaps_s = {
-        let x = space.manager().and(range_bdd, s);
-        space.manager().is_sat(x)
-    };
-    // Include-branch: the remainder is inside S (an empty remainder counts,
-    // provided the range overlaps S at all — otherwise the node contributes
-    // nothing and we just recurse).
-    let terms = if space.manager().is_false(rem_outside) && overlaps_s {
-        // Remainder ⊆ S: include the range minus the children not in S.
+    let terms = if space.manager().is_false(rem_outside) {
+        // Remainder ⊆ S (an empty remainder counts, since the range
+        // overlaps S): include the range minus the children not in S.
         let mut minus = Vec::new();
-        for &k in kids {
-            minus.extend(get_match(space, ddnf, not_s, s, k, &mut sub_exact));
+        for &k in &dag.children[node] {
+            minus.extend(get_match(space, dag, cache, not_s, s, k, &mut sub_exact));
         }
         vec![NestedTerm {
-            base: ddnf.ranges[node],
+            base: dag.ranges[node],
             minus,
         }]
     } else {
-        if space.manager().is_sat(remainder) {
-            let rem_inside = space.manager().and(remainder, s);
-            if space.manager().is_sat(rem_inside) {
-                sub_exact = false; // cell splits S: decomposition inexact
-            }
+        let rem_inside = space.manager().and(remainder, s);
+        if space.manager().is_sat(rem_inside) {
+            sub_exact = false; // cell splits S: decomposition inexact
         }
         let mut out = Vec::new();
-        for &k in kids {
-            out.extend(get_match(space, ddnf, s, not_s, k, &mut sub_exact));
+        for &k in &dag.children[node] {
+            out.extend(get_match(space, dag, cache, s, not_s, k, &mut sub_exact));
         }
         out
     };
     if !sub_exact {
         *exact = false;
     }
-    ddnf.memo
-        .borrow_mut()
-        .insert((node, s), (terms.clone(), sub_exact));
+    cache.memo.insert((node, s), (terms.clone(), sub_exact));
     terms
 }
 
@@ -670,7 +556,7 @@ pub fn header_localize<E: RangeEncoder>(
     s: Bdd,
     config_ranges: &[PrefixRange],
 ) -> HeaderLocalization {
-    let ddnf = RangeDag::build(space, config_ranges);
+    let ddnf = RangeDag::build(space.semantics(), config_ranges);
     let loc = header_localize_with(space, s, &ddnf);
     ddnf.release(space.manager());
     loc
@@ -681,35 +567,32 @@ pub fn header_localize<E: RangeEncoder>(
 pub fn header_localize_with<E: RangeEncoder>(
     space: &mut E,
     s: Bdd,
-    ddnf: &RangeDag,
+    dag: &RangeDag,
 ) -> HeaderLocalization {
     campion_trace::span!("headerloc.localize");
+    debug_assert_eq!(
+        space.semantics(),
+        dag.sem,
+        "RangeDag built for another range reading"
+    );
+    let mut cache = dag.cache.borrow_mut();
     debug_assert!(
-        !ddnf.released.get(),
+        !cache.released,
         "localize against a released RangeDag (its node BDDs are unrooted)"
     );
-    // Memo entries name arena indices, which stay put between sweeps and
-    // may be recycled by one: key the table to the manager's sweep count.
-    // (No sweep can happen inside this call — collection only runs at
-    // explicit checkpoints, and there are none below.)
+    // No sweep can happen inside this call — collection only runs at
+    // explicit checkpoints, and there are none below — so the memo is
+    // valid throughout once it matches the current generation.
     let gc_gen = space.manager().sweep_count();
-    if ddnf.memo_gen.get() != gc_gen {
-        ddnf.memo.borrow_mut().clear();
-        ddnf.memo_gen.set(gc_gen);
+    if cache.memo_gen != gc_gen {
+        cache.memo.clear();
+        cache.memo_gen = gc_gen;
     }
     let mut exact = true;
     let not_s = space.manager().not(s);
-    let nested = get_match(space, ddnf, s, not_s, ddnf.root, &mut exact);
-    let mut terms = flatten(nested);
-    // Deterministic output order, and deduplication: a shared DAG node can
-    // be reached through several parents and must be reported once.
-    for t in &mut terms {
-        t.minus.sort();
-        t.minus.dedup();
-    }
-    terms.sort_by(|a, b| (a.base, &a.minus).cmp(&(b.base, &b.minus)));
-    terms.dedup();
-    let loc = HeaderLocalization { terms, exact };
+    let nested = get_match(space, dag, &mut cache, s, not_s, dag.root, &mut exact);
+    drop(cache);
+    let loc = finish(nested, exact);
     debug_assert!(
         !loc.exact
             || reencode(space, &loc) == {
@@ -719,6 +602,20 @@ pub fn header_localize_with<E: RangeEncoder>(
         "HeaderLocalize must re-encode to exactly S"
     );
     loc
+}
+
+/// Flatten `GetMatch`'s nested terms into the reported form.
+fn finish(nested: Vec<NestedTerm>, exact: bool) -> HeaderLocalization {
+    let mut terms = flatten(nested);
+    // Deterministic output order, and deduplication: a shared DAG node can
+    // be reached through several parents and must be reported once.
+    for t in &mut terms {
+        t.minus.sort();
+        t.minus.dedup();
+    }
+    terms.sort_by(|a, b| (a.base, &a.minus).cmp(&(b.base, &b.minus)));
+    terms.dedup();
+    HeaderLocalization { terms, exact }
 }
 
 /// Re-encode a localization back into a BDD (the correctness check used by
@@ -738,3 +635,8 @@ pub fn reencode<E: RangeEncoder>(space: &mut E, loc: &HeaderLocalization) -> Bdd
     }
     space.manager().and(acc, valid)
 }
+
+/// Differential oracles for the ddNF builder and `GetMatch`.
+#[cfg(test)]
+#[path = "headerloc_oracle.rs"]
+pub(crate) mod oracle;

@@ -54,7 +54,7 @@ pub use driver::{
 };
 pub use headerloc::{
     header_localize, header_localize_with, reencode, DstAddrSpace, HeaderLocalization, RangeDag,
-    RangeEncoder, RangeTerm, SrcAddrSpace,
+    RangeEncoder, RangeSemantics, RangeTerm, SrcAddrSpace,
 };
 pub use json::{policy_diff_json, report_json, stats_json, structural_finding_json};
 pub use matching::{match_policies, MatchedComponents, PolicyPair};

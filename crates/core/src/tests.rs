@@ -1036,57 +1036,109 @@ mod alignment {
 
 // --------------------------------------------------------------- ddNF/trie
 
-/// Differential suite for the structural ddNF builder: the trie-based
-/// [`RangeDag::build`] must produce byte-identical DAGs — node order, cover
-/// edges, BDD handles and remainders included — versus the retained
-/// BDD-deciding oracle, and localizations against either must agree.
+/// Differential suites for header localization. The trie-based
+/// [`RangeDag::build`] must produce byte-identical DAGs — node order and
+/// cover edges included — versus the BDD-deciding oracle builder, and the
+/// pruned, lazily encoding `GetMatch` must report exactly what the eager,
+/// unpruned reference does.
 mod ddnf {
     use std::net::Ipv4Addr;
 
+    use campion_bdd::{Bdd, GcPolicy};
     use campion_net::Prefix;
     use campion_symbolic::PacketSpace;
     use proptest::prelude::*;
 
     use super::*;
+    use crate::headerloc::oracle::{build_ddnf_oracle, dag_structure, header_localize_reference};
     use crate::headerloc::{
-        build_ddnf_oracle, dag_structure, header_localize_with, DstAddrSpace, RangeDag,
-        RangeEncoder,
+        header_localize_with, DstAddrSpace, RangeDag, RangeEncoder, RangeSemantics,
     };
 
-    /// Build with both builders in the same space (so deterministic
-    /// hash-consing makes node handles comparable), assert full equality,
-    /// then cross-check localization of every input range and their union.
+    /// Localize `s` (restricted to valid headers) against `dag` and assert
+    /// the production answer equals the reference one, `exact` included.
+    fn assert_matches_reference<E: RangeEncoder>(space: &mut E, dag: &RangeDag, s: Bdd) {
+        let valid = space.encode(&PrefixRange::universe());
+        let s = space.manager().and(s, valid);
+        let fast = header_localize_with(space, s, dag);
+        let reference = header_localize_reference(space, s, dag);
+        assert_eq!(fast, reference, "pruned lazy GetMatch diverged");
+    }
+
+    /// Build with both builders, assert identical skeletons, then
+    /// cross-check localization of every input range, their union and ∅
+    /// against the reference.
     fn assert_same_dag<E: RangeEncoder>(space: &mut E, ranges: &[PrefixRange]) {
         let oracle = build_ddnf_oracle(space, ranges);
-        let fast = RangeDag::build(space, ranges);
+        let fast = RangeDag::build(space.semantics(), ranges);
         assert_eq!(
             dag_structure(&oracle),
             dag_structure(&fast),
             "trie builder diverged from the oracle"
         );
-        let mut targets = Vec::new();
-        let mut union = campion_bdd::Bdd::FALSE;
+        let mut targets = vec![Bdd::FALSE];
+        let mut union = Bdd::FALSE;
         for r in ranges {
             let b = space.encode(r);
             targets.push(b);
             union = space.manager().or(union, b);
         }
         targets.push(union);
-        targets.push(campion_bdd::Bdd::FALSE);
-        let valid = space.encode(&PrefixRange::universe());
         for t in targets {
-            let s = space.manager().and(t, valid);
-            let a = header_localize_with(space, s, &oracle);
-            let b = header_localize_with(space, s, &fast);
-            assert_eq!(a, b, "localization diverged between oracle and trie DAG");
+            assert_matches_reference(space, &fast, t);
         }
-        oracle.release(space.manager());
-        fast.release(space.manager());
     }
 
     fn route_space() -> RouteSpace {
         let dummy = campion_ir::RoutePolicy::permit_all("x");
         RouteSpace::for_policies(&[&dummy])
+    }
+
+    fn member_range((bits, len, a, b): (u32, u8, u8, u8)) -> PrefixRange {
+        let (lo, hi) = if a <= b { (a, b) } else { (b, a) };
+        PrefixRange::new(Prefix::new(Ipv4Addr::from(bits), len), lo, hi)
+    }
+
+    fn addr_range((bits, len): (u32, u8)) -> PrefixRange {
+        PrefixRange::or_longer(Prefix::new(Ipv4Addr::from(bits), len))
+    }
+
+    /// A target set: the universe, then a fold of `ops` over the config
+    /// ranges and `extra` ranges the DAG does not contain (so cells can be
+    /// split and the answer inexact). Op 0 = ∪, 1 = ∩, 2 = −.
+    fn target<E: RangeEncoder>(
+        space: &mut E,
+        ranges: &[PrefixRange],
+        extra: &[PrefixRange],
+        ops: &[(u8, usize)],
+    ) -> Bdd {
+        let pool: Vec<PrefixRange> = ranges.iter().chain(extra).copied().collect();
+        let mut s = Bdd::FALSE;
+        for &(op, i) in ops {
+            let b = space.encode(&pool[i % pool.len()]);
+            s = match op % 3 {
+                0 => space.manager().or(s, b),
+                1 => space.manager().and(s, b),
+                _ => space.manager().diff(s, b),
+            };
+        }
+        s
+    }
+
+    /// Localize ∅, the universe and the random target against one DAG, in
+    /// that order (so later queries also exercise the warm caches).
+    fn assert_targets_match_reference<E: RangeEncoder>(
+        space: &mut E,
+        ranges: &[PrefixRange],
+        extra: &[PrefixRange],
+        ops: &[(u8, usize)],
+    ) {
+        let dag = RangeDag::build(space.semantics(), ranges);
+        let s = target(space, ranges, extra, ops);
+        let universe = space.manager().true_();
+        for t in [Bdd::FALSE, universe, s] {
+            assert_matches_reference(space, &dag, t);
+        }
     }
 
     proptest! {
@@ -1097,13 +1149,7 @@ mod ddnf {
             seeds in proptest::collection::vec(
                 (any::<u32>(), 0u8..=32, 0u8..=32, 0u8..=32), 1..8)
         ) {
-            let ranges: Vec<PrefixRange> = seeds
-                .iter()
-                .map(|&(bits, len, a, b)| {
-                    let (lo, hi) = if a <= b { (a, b) } else { (b, a) };
-                    PrefixRange::new(Prefix::new(Ipv4Addr::from(bits), len), lo, hi)
-                })
-                .collect();
+            let ranges: Vec<PrefixRange> = seeds.into_iter().map(member_range).collect();
             assert_same_dag(&mut route_space(), &ranges);
         }
 
@@ -1113,14 +1159,42 @@ mod ddnf {
         fn trie_matches_oracle_in_addr_spaces(
             seeds in proptest::collection::vec((any::<u32>(), 0u8..=32), 1..8)
         ) {
-            let ranges: Vec<PrefixRange> = seeds
-                .iter()
-                .map(|&(bits, len)| {
-                    PrefixRange::or_longer(Prefix::new(Ipv4Addr::from(bits), len))
-                })
-                .collect();
+            let ranges: Vec<PrefixRange> = seeds.into_iter().map(addr_range).collect();
             let mut space = PacketSpace::new();
             assert_same_dag(&mut DstAddrSpace(&mut space), &ranges);
+        }
+
+        /// Report equality in route spaces, where member semantics give
+        /// DAG nodes several parents. Prefixes share a first octet so the
+        /// ranges actually nest and intersect.
+        #[test]
+        fn lazy_pruned_localization_matches_reference_in_route_spaces(
+            seeds in proptest::collection::vec(
+                (0u32..0x0100_0000, 0u8..=32, 0u8..=32, 0u8..=32), 1..7),
+            extra in proptest::collection::vec(
+                (0u32..0x0100_0000, 0u8..=32, 0u8..=32, 0u8..=32), 0..3),
+            ops in proptest::collection::vec((0u8..3, 0usize..10), 0..6),
+        ) {
+            let crowd = |(bits, len, a, b): (u32, u8, u8, u8)| {
+                member_range((0x0A00_0000 | bits, len, a, b))
+            };
+            let ranges: Vec<PrefixRange> = seeds.into_iter().map(crowd).collect();
+            let extra: Vec<PrefixRange> = extra.into_iter().map(crowd).collect();
+            assert_targets_match_reference(&mut route_space(), &ranges, &extra, &ops);
+        }
+
+        /// Report equality in destination-address spaces.
+        #[test]
+        fn lazy_pruned_localization_matches_reference_in_addr_spaces(
+            seeds in proptest::collection::vec((0u32..0x0100_0000, 0u8..=32), 1..10),
+            extra in proptest::collection::vec((0u32..0x0100_0000, 0u8..=32), 0..3),
+            ops in proptest::collection::vec((0u8..3, 0usize..13), 0..6),
+        ) {
+            let crowd = |(bits, len): (u32, u8)| addr_range((0x0A00_0000 | bits, len));
+            let ranges: Vec<PrefixRange> = seeds.into_iter().map(crowd).collect();
+            let extra: Vec<PrefixRange> = extra.into_iter().map(crowd).collect();
+            let mut space = PacketSpace::new();
+            assert_targets_match_reference(&mut DstAddrSpace(&mut space), &ranges, &extra, &ops);
         }
     }
 
@@ -1144,8 +1218,78 @@ mod ddnf {
         assert_same_dag(&mut route_space(), &ranges);
     }
 
-    /// Localizing against a released DAG is a use-after-free of its GC
-    /// roots; the poison flag catches it in debug builds.
+    /// A target that splits a ddNF cell is reported inexact by both paths,
+    /// and one disjoint from every configured range stops at the first
+    /// nodes it misses.
+    #[test]
+    fn split_cells_and_disjoint_targets_match_reference() {
+        let r = |s: &str| s.parse::<PrefixRange>().unwrap();
+        let ranges = [r("10.0.0.0/8:8-32"), r("10.1.0.0/16:16-32")];
+        let mut space = PacketSpace::new();
+        let mut dst = DstAddrSpace(&mut space);
+        let dag = RangeDag::build(dst.semantics(), &ranges);
+        // 10.2.0.0/16 is a strict part of the cell 10/8 − 10.1/16.
+        let split = dst.encode(&r("10.2.0.0/16:16-32"));
+        let loc = header_localize_with(&mut dst, split, &dag);
+        assert!(!loc.exact);
+        assert_eq!(loc, header_localize_reference(&mut dst, split, &dag));
+        let disjoint = dst.encode(&r("20.0.0.0/8:8-32"));
+        let fresh = RangeDag::build(dst.semantics(), &ranges);
+        let loc = header_localize_with(&mut dst, disjoint, &fresh);
+        // It splits the universe's own cell, and nothing below it matches.
+        assert!(!loc.exact && loc.terms.is_empty());
+        // The universe and the 10/8 child its remainder is diffed with;
+        // 10/8 misses the target, so the /16 under it is never reached.
+        assert_eq!(fresh.encoded_len(), 2);
+        assert_eq!(loc, header_localize_reference(&mut dst, disjoint, &fresh));
+    }
+
+    /// Lazily encoded node sets are rooted as they are made: a collection
+    /// between queries keeps every one of them (the next query answers
+    /// identically and encodes nothing it had already encoded), and after
+    /// `release` the arena collects back to its pre-build size — a leaked
+    /// root or an early unprotect would each break one of the two checks.
+    #[test]
+    fn lazy_encodings_survive_collections_and_release_leaves_nothing() {
+        let r = |s: &str| s.parse::<PrefixRange>().unwrap();
+        let ranges = [
+            r("10.0.0.0/8:8-32"),
+            r("10.1.0.0/16:16-32"),
+            r("10.1.2.0/24:24-32"),
+            r("20.0.0.0/8:8-32"),
+        ];
+        let mut space = PacketSpace::new();
+        space.manager.set_gc_policy(GcPolicy::Aggressive);
+        space.manager.gc();
+        let before = space.manager.node_count();
+        let dag = RangeDag::build(RangeSemantics::Addresses, &ranges);
+        assert_eq!(space.manager.node_count(), before, "build must not encode");
+        let a = space.dst_prefix_bdd(&ranges[0].prefix);
+        let b = space.dst_prefix_bdd(&ranges[2].prefix);
+        let s = space.manager.diff(a, b);
+        space.manager.protect(s);
+        let first = header_localize_with(&mut DstAddrSpace(&mut space), s, &dag);
+        let encoded = dag.encoded_len();
+        assert!(encoded > 0);
+        let rooted = space.manager.root_count();
+        space.manager.gc();
+        assert_eq!(space.manager.root_count(), rooted);
+        let again = header_localize_with(&mut DstAddrSpace(&mut space), s, &dag);
+        assert_eq!(first, again);
+        assert_eq!(dag.encoded_len(), encoded, "the sweep dropped cached sets");
+        dag.release(&mut space.manager);
+        space.manager.unprotect(s);
+        space.manager.gc();
+        assert_eq!(space.manager.root_count(), 0);
+        assert_eq!(
+            space.manager.node_count(),
+            before,
+            "localization leaked roots"
+        );
+    }
+
+    /// Localizing against a released DAG reads unrooted BDDs; the poison
+    /// flag catches it in debug builds.
     #[test]
     #[should_panic(expected = "released RangeDag")]
     #[cfg_attr(
@@ -1154,9 +1298,45 @@ mod ddnf {
     )]
     fn localize_after_release_is_poisoned() {
         let mut space = route_space();
-        let dag = RangeDag::build(&mut space, &[]);
+        let dag = RangeDag::build(space.semantics(), &[]);
         dag.release(&mut space.manager);
         let _ = header_localize_with(&mut space, campion_bdd::Bdd::FALSE, &dag);
+    }
+
+    /// A DAG clone starts with an empty cache, so it roots only what it
+    /// encodes itself. On the shared engine a cloned space is a fork of the
+    /// same arena, and the clone's `release` must drop exactly its own
+    /// roots: none inherited from the original (a double unprotect), none
+    /// left behind (a leak into the shared arena).
+    #[test]
+    fn dag_clones_on_a_shared_arena_release_only_their_own_roots() {
+        let r = |s: &str| s.parse::<PrefixRange>().unwrap();
+        let ranges = [r("10.0.0.0/8:8-32"), r("10.1.0.0/16:16-32")];
+        let pool = campion_bdd::SharedPool::new(GcPolicy::default());
+        let dummy = campion_ir::RoutePolicy::permit_all("x");
+        let mut space = RouteSpace::for_policies_in(&[&dummy], Some(&pool));
+        let dag = RangeDag::build(space.semantics(), &ranges);
+        let s = space.prefix_range_bdd(&ranges[1]);
+        space.manager.protect(s);
+        let roots_before = space.manager.root_count();
+        let from_orig = header_localize_with(&mut space, s, &dag);
+        let rooted_by_orig = space.manager.root_count();
+        assert!(rooted_by_orig > roots_before);
+        let mut clone_space = space.clone();
+        let clone_dag = dag.clone();
+        assert_eq!(
+            clone_dag.encoded_len(),
+            0,
+            "a clone starts with an empty cache"
+        );
+        let from_clone = header_localize_with(&mut clone_space, s, &clone_dag);
+        assert_eq!(from_orig, from_clone);
+        clone_dag.release(&mut clone_space.manager);
+        drop(clone_space);
+        assert_eq!(space.manager.root_count(), rooted_by_orig);
+        dag.release(&mut space.manager);
+        assert_eq!(space.manager.root_count(), roots_before);
+        space.manager.unprotect(s);
     }
 
     /// The `(node, S)` memo must serve repeat queries and reset when a
@@ -1170,10 +1350,8 @@ mod ddnf {
             r("20.0.0.0/8:8-32"),
         ];
         let mut space = route_space();
-        space
-            .manager
-            .set_gc_policy(campion_bdd::GcPolicy::Aggressive);
-        let dag = RangeDag::build(&mut space, &ranges);
+        space.manager.set_gc_policy(GcPolicy::Aggressive);
+        let dag = RangeDag::build(space.semantics(), &ranges);
         let b = space.prefix_range_bdd(&ranges[0]);
         let valid = space.prefix_range_bdd(&PrefixRange::universe());
         let s = space.manager.and(b, valid);
@@ -1200,7 +1378,7 @@ mod ddnf {
             r("20.0.0.0/8:8-24"),
         ];
         let mut space = route_space();
-        let dag = RangeDag::build(&mut space, &ranges);
+        let dag = RangeDag::build(space.semantics(), &ranges);
         let valid = space.prefix_range_bdd(&PrefixRange::universe());
         let mut targets = Vec::new();
         for r in &ranges {
@@ -1209,6 +1387,8 @@ mod ddnf {
             space.manager.protect(s);
             targets.push(s);
         }
+        // Warm the original's caches first: the clone starts without them.
+        let _ = header_localize_with(&mut space, targets[0], &dag);
         let mut clone_space = space.clone();
         let clone_dag = dag.clone();
         // Diverge the clone's arena before querying: new nodes beyond the
@@ -1228,6 +1408,7 @@ mod ddnf {
         for s in targets {
             space.manager.unprotect(s);
         }
+        clone_dag.release(&mut clone_space.manager);
         dag.release(&mut space.manager);
     }
 }
